@@ -2,166 +2,90 @@ package engine
 
 import (
 	"context"
-	"reflect"
-	"sync/atomic"
+	"fmt"
 	"testing"
 )
 
-// These tests are the determinism gate for the aggregate fast path: when
-// every attached sink is chunk-granular (PartialSink), the pipeline skips
-// per-event delivery entirely and ships chunk partials instead. That
-// bypass must be invisible in the output — Aggregates byte-identical
-// (reflect.DeepEqual) and Overall bit-identical (==) to the ordered event
-// path — for every backend, seed policy, worker count and chunk size. A
-// single differing bit means the bypass changed aggregation.
-
-// fastPathRun executes the spec's campaign with the partial bypass either
-// live or force-disabled, plus a spy that proves which path ran.
-func fastPathRun(t *testing.T, spec CampaignSpec, workers, chunkSize int, ordered bool) (*CampaignResult, *pathSpy) {
-	t.Helper()
-	c, err := spec.Compile(workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.ChunkSize = chunkSize
-	c.disablePartials = ordered
-	spy := &pathSpy{}
-	res, err := c.RunWith(context.Background(), spy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, spy
-}
-
-// pathSpy counts which delivery interface the pipeline used. It
-// implements both, so attaching it never changes fast-path eligibility.
-type pathSpy struct {
-	events   atomic.Int64
-	partials atomic.Int64
-	runs     atomic.Int64
-}
-
-func (s *pathSpy) Consume(_ context.Context, _ Event) error {
-	s.events.Add(1)
-	return nil
-}
-
-func (s *pathSpy) ConsumePartial(_ context.Context, p MetricsPartial) error {
-	s.partials.Add(1)
-	s.runs.Add(int64(p.Len()))
-	return nil
-}
-
-func (s *pathSpy) Close() error { return nil }
-
-// TestGoldenFastPathVsOrdered: for all three backends, all four seed
-// policies, several worker counts and chunk sizes — including chunk=1
-// (one run per partial) and chunk=7 > Replications=6 (clamped to one
-// chunk per point) — the aggregate fast path produces byte-identical
-// aggregates and a bit-identical overall roll-up to the ordered event
-// path.
-func TestGoldenFastPathVsOrdered(t *testing.T) {
-	for _, backend := range []string{"sim", "des", "msg"} {
-		for _, policy := range []string{SeedPerCell, SeedFlat, SeedFacade, SeedShared} {
-			t.Run(backend+"/"+policy, func(t *testing.T) {
-				spec := goldenSpec(backend)
-				spec.SeedPolicy = policy
-				refRes, refSpy := fastPathRun(t, spec, 1, 0, true)
-				if refSpy.events.Load() == 0 || refSpy.partials.Load() != 0 {
-					t.Fatalf("ordered reference used wrong path: %d events, %d partials",
-						refSpy.events.Load(), refSpy.partials.Load())
-				}
-				wantRuns := refSpy.events.Load()
-				for _, workers := range []int{1, 4, 8} {
-					for _, chunk := range []int{0, 1, 7} {
-						gotRes, spy := fastPathRun(t, spec, workers, chunk, false)
-						if spy.events.Load() != 0 {
-							t.Fatalf("workers=%d chunk=%d: fast path delivered %d per-run events",
-								workers, chunk, spy.events.Load())
-						}
-						if spy.partials.Load() == 0 || spy.runs.Load() != wantRuns {
-							t.Fatalf("workers=%d chunk=%d: partials carried %d runs, want %d",
-								workers, chunk, spy.runs.Load(), wantRuns)
-						}
-						if !reflect.DeepEqual(gotRes.Aggregates, refRes.Aggregates) {
-							t.Errorf("workers=%d chunk=%d: fast-path aggregates differ from ordered path", workers, chunk)
-						}
-						if gotRes.Overall != refRes.Overall {
-							t.Errorf("workers=%d chunk=%d: overall roll-up differs from ordered path", workers, chunk)
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
-// orderedOnly is a Sink without ConsumePartial — one attached ordered
-// consumer must disable the bypass for the whole campaign.
-type orderedOnly struct {
+// eventRecorder is a plain Sink retaining every event it is handed.
+type eventRecorder struct {
 	events []Event
 }
 
-func (s *orderedOnly) Consume(_ context.Context, ev Event) error {
+func (s *eventRecorder) Consume(_ context.Context, ev Event) error {
 	s.events = append(s.events, ev)
 	return nil
 }
 
-func (s *orderedOnly) Close() error { return nil }
+func (s *eventRecorder) Close() error { return nil }
 
-// TestFastPathMixedSinksDisableBypass: attaching one ordered-only sink
-// alongside partial-capable ones forces every sink back onto the ordered
-// event path (all-or-nothing eligibility), and the ordered sink observes
-// the full deterministic (point, replication) stream.
-func TestFastPathMixedSinksDisableBypass(t *testing.T) {
-	spec := goldenSpec("sim")
-	c, err := spec.Compile(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spy := &pathSpy{}
-	ordered := &orderedOnly{}
-	res, err := c.RunWith(context.Background(), spy, ordered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spy.partials.Load() != 0 {
-		t.Fatalf("mixed sinks still received %d partials; bypass must be all-or-nothing", spy.partials.Load())
-	}
-	points, _ := spec.Points()
-	want := len(points) * spec.Replications
-	if spy.events.Load() != int64(want) || len(ordered.events) != want {
-		t.Fatalf("ordered delivery saw %d/%d events, want %d", spy.events.Load(), len(ordered.events), want)
-	}
-	for i, ev := range ordered.events {
-		if ev.Point != i/spec.Replications || ev.Rep != i%spec.Replications {
-			t.Fatalf("event %d out of order: point=%d rep=%d", i, ev.Point, ev.Rep)
+// TestGoldenFastPathVsOrdered pins every aggregate-only arrangement of a
+// campaign — Campaign.Run with no sink, an attached Aggregator, an
+// Aggregator mixed with an event-recording sink, and CampaignSpec.Execute
+// — to the committed aggregate digests, for all three backends, all four
+// seed policies, several worker counts and chunk sizes (0 auto-sizes,
+// 1 is one run per chunk, 7 > Replications=6 clamps to one chunk per
+// point). Every attached sink observes the full stream in deterministic
+// (point, replication) order, each event carrying its run's spec with
+// the derived RNGState.
+func TestGoldenFastPathVsOrdered(t *testing.T) {
+	forGoldenCases(t, func(t *testing.T, key string, spec CampaignSpec) {
+		points, err := spec.Points()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The ordered fallback must agree with the fast path bit for bit.
-	fastRes, _ := fastPathRun(t, spec, 4, 0, false)
-	if !reflect.DeepEqual(res.Aggregates, fastRes.Aggregates) || res.Overall != fastRes.Overall {
-		t.Error("mixed-sink ordered run disagrees with fast-path run")
-	}
-}
+		runs := len(points) * spec.Replications
+		seedFor := spec.seedFunc(points)
+		for _, workers := range []int{1, 4, 8} {
+			for _, chunk := range []int{0, 1, 7} {
+				label := fmt.Sprintf("workers=%d chunk=%d", workers, chunk)
+				_, res := goldenRun(t, spec, workers, chunk, false)
+				checkGolden(t, key, label+" no sink", nil, res)
 
-// TestFastPathKeepRunsDisablesBypass: KeepRuns needs full RunResults,
-// which only the event path carries — the bypass must stand down.
-func TestFastPathKeepRunsDisablesBypass(t *testing.T) {
-	spec := goldenSpec("sim")
-	c, err := spec.Compile(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.KeepRuns = true
-	spy := &pathSpy{}
-	if _, err := c.RunWith(context.Background(), spy); err != nil {
-		t.Fatal(err)
-	}
-	if spy.partials.Load() != 0 {
-		t.Fatalf("KeepRuns campaign received %d partials", spy.partials.Load())
-	}
-	if spy.events.Load() == 0 {
-		t.Fatal("KeepRuns campaign delivered no events")
-	}
+				agg, err := spec.NewAggregator(false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, res = goldenRun(t, spec, workers, chunk, false, agg)
+				checkGolden(t, key, label+" aggregator", nil, res)
+				checkGolden(t, key, label+" aggregator result", nil, agg.Result())
+
+				agg, _ = spec.NewAggregator(false)
+				rec := &eventRecorder{}
+				_, res = goldenRun(t, spec, workers, chunk, false, agg, rec)
+				checkGolden(t, key, label+" mixed sinks", nil, agg.Result())
+				if len(rec.events) != runs {
+					t.Fatalf("%s: recorder saw %d events, want %d", label, len(rec.events), runs)
+				}
+				for i, ev := range rec.events {
+					if ev.Point != i/spec.Replications || ev.Rep != i%spec.Replications {
+						t.Fatalf("%s: event %d out of order: point=%d rep=%d", label, i, ev.Point, ev.Rep)
+					}
+					if want := seedFor(ev.Point, ev.Rep); ev.Spec.RNGState != want || ev.Spec.Technique != points[ev.Point].Technique {
+						t.Fatalf("%s: event %d carries spec %s/%#x, want %s/%#x", label, i,
+							ev.Spec.Technique, ev.Spec.RNGState, points[ev.Point].Technique, want)
+					}
+					if ev.Result != nil {
+						t.Fatalf("%s: event %d carries a full result without KeepRuns", label, i)
+					}
+				}
+
+				res, err = spec.Execute(context.Background(), ExecConfig{Workers: workers, ChunkSize: chunk})
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkGolden(t, key, label+" execute", nil, res)
+			}
+		}
+		// The ordered event path of the parent pipeline.
+		c, err := spec.Compile(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.disablePartials = true
+		res, err := c.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, key, "ordered", nil, res)
+	})
 }
