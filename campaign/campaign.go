@@ -36,18 +36,6 @@ type (
 	// Sink consumes the ordered stream of run events.
 	Sink = engine.Sink
 
-	// MetricsPartial is one chunk's worth of per-run metrics plus its
-	// pre-folded accumulators, delivered in deterministic chunk order on
-	// the aggregate fast path.
-	MetricsPartial = engine.MetricsPartial
-
-	// PartialSink marks a Sink as chunk-granular: when every sink of a
-	// campaign implements it, the pipeline skips per-run event delivery
-	// and ships MetricsPartial batches instead — same values, same
-	// order, far less per-run overhead. One plain Sink in the set
-	// disables the bypass for the whole campaign.
-	PartialSink = engine.PartialSink
-
 	// Aggregate summarizes all replications of one campaign point.
 	Aggregate = engine.Aggregate
 

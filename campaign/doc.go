@@ -37,19 +37,13 @@
 // the event stream (Aggregator), a remote execution aggregated
 // client-side is bit-identical to a local one.
 //
-// # Sinks and the aggregate fast path
+// # Sinks
 //
-// Sinks observe campaign output. A plain Sink receives one Event per
-// run in deterministic (point, replication) order — what the CSV and
-// JSONL exporters need. A PartialSink additionally accepts
-// MetricsPartial batches: one call per replication chunk, carrying the
-// chunk's per-run scalars and chunk-local Welford partials, merged in
-// deterministic chunk order. When every sink attached to a campaign is
-// a PartialSink, the engine skips per-run event construction entirely
-// (the aggregate fast path); one plain Sink disables the bypass for
-// the whole campaign. Either path yields bit-identical aggregates —
-// the fast path is a throughput optimization, never a semantic choice.
-// Aggregator implements PartialSink.
+// Sinks observe campaign output. Every Sink receives one Event per run
+// in deterministic (point, replication) order, whatever the worker
+// count, chunk size or cache state — what the CSV and JSONL exporters
+// need. Aggregator is an ordinary Sink folding that stream into
+// aggregates.
 //
 //	spec := campaign.Spec{
 //	    Techniques:   []string{"FAC2", "GSS"},

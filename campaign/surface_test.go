@@ -34,8 +34,6 @@ func TestAPISurfaceSnapshot(t *testing.T) {
 		"RunMetrics": "Wasted float64 json=wasted; Makespan float64 json=makespan; " +
 			"Speedup float64 json=speedup; SchedOps int64 json=sched_ops",
 		"Event": "Point int; Rep int; Spec engine.RunSpec; Metrics engine.RunMetrics; Result *engine.RunResult",
-		"MetricsPartial": "Point int; RepLo int; Runs []engine.RunMetrics; " +
-			"Wasted metrics.Accumulator; Makespan metrics.Accumulator; Speedup metrics.Accumulator; Ops int64",
 		"Aggregate": "Spec engine.RunSpec; Wasted metrics.Summary; Makespan metrics.Summary; " +
 			"Speedup metrics.Summary; MeanOps float64; PerRun []engine.RunMetrics; Results []*engine.RunResult",
 		"Result": "Aggregates []engine.Aggregate; Overall metrics.Accumulator",
@@ -61,20 +59,19 @@ func TestAPISurfaceSnapshot(t *testing.T) {
 			"Service string json=service,omitempty",
 	}
 	types := map[string]reflect.Type{
-		"Spec":           reflect.TypeOf(campaign.Spec{}),
-		"Workload":       reflect.TypeOf(campaign.Workload{}),
-		"RunMetrics":     reflect.TypeOf(campaign.RunMetrics{}),
-		"Event":          reflect.TypeOf(campaign.Event{}),
-		"MetricsPartial": reflect.TypeOf(campaign.MetricsPartial{}),
-		"Aggregate":      reflect.TypeOf(campaign.Aggregate{}),
-		"Result":         reflect.TypeOf(campaign.Result{}),
-		"Snapshot":       reflect.TypeOf(campaign.Snapshot{}),
-		"Job":            reflect.TypeOf(campaign.Job{}),
-		"Description":    reflect.TypeOf(campaign.Description{}),
-		"Execution":      reflect.TypeOf(campaign.Execution{}),
-		"ErrorBody":      reflect.TypeOf(campaign.ErrorBody{}),
-		"ErrorEnvelope":  reflect.TypeOf(campaign.ErrorEnvelope{}),
-		"Health":         reflect.TypeOf(campaign.Health{}),
+		"Spec":          reflect.TypeOf(campaign.Spec{}),
+		"Workload":      reflect.TypeOf(campaign.Workload{}),
+		"RunMetrics":    reflect.TypeOf(campaign.RunMetrics{}),
+		"Event":         reflect.TypeOf(campaign.Event{}),
+		"Aggregate":     reflect.TypeOf(campaign.Aggregate{}),
+		"Result":        reflect.TypeOf(campaign.Result{}),
+		"Snapshot":      reflect.TypeOf(campaign.Snapshot{}),
+		"Job":           reflect.TypeOf(campaign.Job{}),
+		"Description":   reflect.TypeOf(campaign.Description{}),
+		"Execution":     reflect.TypeOf(campaign.Execution{}),
+		"ErrorBody":     reflect.TypeOf(campaign.ErrorBody{}),
+		"ErrorEnvelope": reflect.TypeOf(campaign.ErrorEnvelope{}),
+		"Health":        reflect.TypeOf(campaign.Health{}),
 	}
 	for name, typ := range types {
 		want, ok := snap[name]
@@ -133,10 +130,8 @@ func TestAPISurfaceSnapshot(t *testing.T) {
 	}
 }
 
-// The Aggregator must stay chunk-granular: losing ConsumePartial would
-// silently disable the engine's aggregate fast path for every campaign
-// that attaches one.
-var _ campaign.PartialSink = (*campaign.Aggregator)(nil)
+// The Aggregator is an ordinary Sink, attachable to any campaign.
+var _ campaign.Sink = (*campaign.Aggregator)(nil)
 
 // structShape renders a struct type's exported surface: field names,
 // types and JSON tags in declaration order.

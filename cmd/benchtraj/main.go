@@ -2,9 +2,9 @@
 // trajectory: it measures campaign throughput (runs per second) and the
 // per-run allocation profile through the engine's streaming pipeline
 // under the configurations future PRs need to compare against — a
-// multi-worker scaling sweep (these rows run the aggregate fast path:
-// no per-run sink, so chunk partials bypass per-event delivery), the
-// ordered per-event path for comparison, and the two cache-hit shapes:
+// multi-worker scaling sweep (aggregate-only: no per-run sink), the same
+// campaign at one worker with a per-run sink attached (the per-event
+// sink cost), and the two cache-hit shapes:
 // per-run replay (a sink consumes every stored record, decoded from the
 // binary cache format) and the aggregate-only snapshot hit (stored
 // aggregates served without touching per-run records). The samples are
@@ -125,9 +125,6 @@ type derived struct {
 	// ReplaySpeedup is the per-run cached replay (every stored record
 	// decoded and delivered to a sink) vs the fastest live measurement.
 	ReplaySpeedup float64 `json:"replay_speedup"`
-	// FastPathSpeedup is the aggregate fast path (chunk partials, no
-	// per-run events) vs the ordered per-event path at one worker.
-	FastPathSpeedup float64 `json:"fast_path_speedup"`
 	// DistributedRunsPerSec is the cold sharded-fleet throughput of the
 	// -servers measurement (0 when no fleet was measured).
 	DistributedRunsPerSec float64 `json:"distributed_runs_per_sec,omitempty"`
@@ -138,9 +135,7 @@ type derived struct {
 	ResubmitSpeedup float64 `json:"resubmit_speedup,omitempty"`
 }
 
-// discardSink consumes ordered per-run events and drops them. It has no
-// ConsumePartial on purpose: attaching it forces the engine's per-event
-// path, which is exactly what the ordered and replay rows must pay for.
+// discardSink consumes ordered per-run events and drops them.
 type discardSink struct{}
 
 func (discardSink) Consume(context.Context, engine.Event) error { return nil }
@@ -287,8 +282,8 @@ func run() error {
 		live = append(live, m)
 		byWorkers[w] = m
 	}
-	// The ordered per-event path at one worker: same campaign with one
-	// order-sensitive sink attached, which disables the partial bypass.
+	// The per-event sink cost at one worker: same campaign with one
+	// per-run sink attached.
 	orderedRow, err := measure("campaign/ordered/workers=1", 1, nil, false, true)
 	if err != nil {
 		return err
@@ -402,7 +397,6 @@ func run() error {
 	}
 	d.CacheSpeedup = snapshot.RunsPerSec / bestLive.RunsPerSec
 	d.ReplaySpeedup = replay.RunsPerSec / bestLive.RunsPerSec
-	d.FastPathSpeedup = base.RunsPerSec / orderedRow.RunsPerSec
 	if len(fleetRows) > 0 {
 		d.DistributedRunsPerSec = fleetCold.RunsPerSec
 		d.ResubmitSpeedup = fleetWarm.RunsPerSec / fleetCold.RunsPerSec
@@ -431,11 +425,11 @@ func run() error {
 		return err
 	}
 	if d.ParallelSpeedup > 0 {
-		log.Printf("parallel speedup %.2fx (best of sweep), replay %.2fx, snapshot %.2fx, fast path %.2fx; wrote %s",
-			d.ParallelSpeedup, d.ReplaySpeedup, d.CacheSpeedup, d.FastPathSpeedup, *out)
+		log.Printf("parallel speedup %.2fx (best of sweep), replay %.2fx, snapshot %.2fx; wrote %s",
+			d.ParallelSpeedup, d.ReplaySpeedup, d.CacheSpeedup, *out)
 	} else {
-		log.Printf("replay speedup %.2fx, snapshot %.2fx, fast path %.2fx; wrote %s",
-			d.ReplaySpeedup, d.CacheSpeedup, d.FastPathSpeedup, *out)
+		log.Printf("replay speedup %.2fx, snapshot %.2fx; wrote %s",
+			d.ReplaySpeedup, d.CacheSpeedup, *out)
 	}
 	if d.ResubmitSpeedup > 0 {
 		log.Printf("distributed: %d nodes, %d shards, %.0f runs/s cold, resubmit speedup %.2fx",

@@ -32,14 +32,6 @@ func (s CampaignSpec) NewAggregator(keepPerRun bool) (*Aggregator, error) {
 // Consume implements Sink.
 func (a *Aggregator) Consume(ctx context.Context, ev Event) error { return a.sink.Consume(ctx, ev) }
 
-// ConsumePartial implements PartialSink, so an Aggregator attached to a
-// live campaign engages the pipeline's aggregate fast path: chunk
-// partials fold into the same per-point state the event path feeds,
-// bit-identically.
-func (a *Aggregator) ConsumePartial(ctx context.Context, p MetricsPartial) error {
-	return a.sink.ConsumePartial(ctx, p)
-}
-
 // Close implements Sink, validating that every point saw its full
 // replication count.
 func (a *Aggregator) Close() error { return a.sink.Close() }

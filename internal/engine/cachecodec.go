@@ -2,19 +2,14 @@ package engine
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"hash/fnv"
 	"math"
 
 	"repro/internal/metrics"
 )
 
-// This file implements the cache's binary entry codec (format version 2).
-//
-// Version 1 entries are JSON (cachedCampaign): simple and durable, but a
-// replay pays json.Unmarshal for every stored run — the dominant cost of
-// a cache hit once the simulation itself is fast. Version 2 keeps the
-// same logical content in a fixed-width binary layout plus a
+// This file implements the cache's binary entry codec (format version 2):
+// every run's metrics in a fixed-width binary layout plus a
 // pre-aggregated snapshot section:
 //
 //	offset  size  field
@@ -44,13 +39,11 @@ import (
 // The snapshot section stores the campaign's final aggregates exactly as
 // the live run computed them, so an aggregate-only hit (no per-run
 // sinks, no KeepPerRun) is served without touching the per-run records
-// at all. Decoders still read version-1 JSON entries (sniffed by the
-// missing magic); writers always produce version 2.
+// at all. Any other blob — including the version-1 JSON entries of
+// earlier builds — fails to decode and is treated as a miss: the store is
+// a cache, so the campaign runs live and overwrites it.
 
 const (
-	// cacheFormatVersion is the legacy JSON entry format, still decoded
-	// for entries written by earlier builds.
-	cacheFormatVersion = 1
 	// cacheBinaryVersion is the binary entry format this build writes.
 	cacheBinaryVersion = 2
 
@@ -82,8 +75,7 @@ type pointSnapshot struct {
 // so an aggregate-only consumer never pays for decoding them.
 type cacheEntry struct {
 	snap    *cachedSnapshot
-	records []byte         // binary per-run records (version 2)
-	json    [][]RunMetrics // decoded per-run metrics (version 1)
+	records []byte // binary per-run records
 	points  int
 	reps    int
 }
@@ -202,19 +194,7 @@ func checksum(b []byte) uint64 {
 // truncation, checksum failure — reports ok == false, demoting the hit
 // to a miss (the caller then runs live and overwrites the entry).
 func decodeCacheEntry(data []byte, key string, points, reps int) (cacheEntry, bool) {
-	if len(data) >= 4 && [4]byte(data[:4]) == cacheMagic {
-		return decodeBinaryEntry(data, key, points, reps)
-	}
-	// Legacy version-1 JSON entry.
-	cc, ok := decodeCachedJSON(data, key, points, reps)
-	if !ok {
-		return cacheEntry{}, false
-	}
-	return cacheEntry{json: cc.PerRun, points: points, reps: reps}, true
-}
-
-func decodeBinaryEntry(data []byte, key string, points, reps int) (cacheEntry, bool) {
-	if len(data) < 18+checksumSize {
+	if len(data) < 18+checksumSize || [4]byte(data[:4]) != cacheMagic {
 		return cacheEntry{}, false
 	}
 	if got := binary.LittleEndian.Uint64(data[len(data)-checksumSize:]); got != checksum(data[:len(data)-checksumSize]) {
@@ -263,9 +243,6 @@ func decodeBinaryEntry(data []byte, key string, points, reps int) (cacheEntry, b
 // perRunMetrics decodes the entry's per-run records into [point][rep]
 // order — one flat backing array, no per-record allocation.
 func (e cacheEntry) perRunMetrics() [][]RunMetrics {
-	if e.json != nil {
-		return e.json
-	}
 	flat := make([]RunMetrics, e.points*e.reps)
 	rest := e.records
 	for i := range flat {
@@ -299,22 +276,4 @@ func (s *cachedSnapshot) result(points []RunSpec) *CampaignResult {
 		}
 	}
 	return &CampaignResult{Aggregates: aggs, Overall: s.overall}
-}
-
-// decodeCachedJSON decodes and checks a legacy version-1 JSON entry.
-func decodeCachedJSON(data []byte, key string, points, reps int) (cachedCampaign, bool) {
-	var cc cachedCampaign
-	if err := json.Unmarshal(data, &cc); err != nil {
-		return cachedCampaign{}, false
-	}
-	if cc.Version != cacheFormatVersion || cc.Hash != key ||
-		cc.Points != points || cc.Replications != reps || len(cc.PerRun) != points {
-		return cachedCampaign{}, false
-	}
-	for _, runs := range cc.PerRun {
-		if len(runs) != reps {
-			return cachedCampaign{}, false
-		}
-	}
-	return cc, true
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"math"
@@ -140,48 +141,56 @@ func TestCacheCodecRejectsTampering(t *testing.T) {
 	}
 }
 
-// TestCacheCodecReadsLegacyJSON: version-1 entries written by earlier
-// builds must remain readable, including their validation rules.
-func TestCacheCodecReadsLegacyJSON(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	perRun, _ := randomEntry(r, 2, 3)
-	// JSON cannot carry NaN/Inf; keep finite values only for this path.
-	for pi := range perRun {
-		for rep := range perRun[pi] {
-			m := &perRun[pi][rep]
-			for _, f := range []*float64{&m.Wasted, &m.Makespan, &m.Speedup} {
-				if math.IsNaN(*f) || math.IsInf(*f, 0) {
-					*f = 1.5
-				}
-			}
-		}
+// TestCacheLegacyJSONEntryRerunsLive: a version-1 JSON entry written
+// by an earlier build — valid for the spec in every field — is a miss.
+// Execute runs live, returns aggregates bit-identical to an uncached
+// run, and overwrites the blob with a version-2 binary entry.
+func TestCacheLegacyJSONEntryRerunsLive(t *testing.T) {
+	spec := countingSpec()
+	hash, err := spec.Hash()
+	if err != nil {
+		t.Fatal(err)
 	}
-	data, err := json.Marshal(cachedCampaign{
-		Version: cacheFormatVersion, Hash: "legacy", Points: 2, Replications: 3, PerRun: perRun,
+	want, err := spec.Execute(context.Background(), ExecConfig{KeepPerRun: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRun := make([][]RunMetrics, len(want.Aggregates))
+	for pi, agg := range want.Aggregates {
+		perRun[pi] = agg.PerRun
+	}
+	legacy, err := json.Marshal(map[string]any{
+		"version": 1, "hash": hash, "points": len(perRun),
+		"replications": spec.Replications, "per_run": perRun,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ent, ok := decodeCacheEntry(data, "legacy", 2, 3)
-	if !ok {
-		t.Fatal("legacy JSON entry rejected")
+	store := cache.NewMemory()
+	if err := store.Put(context.Background(), hash, legacy); err != nil {
+		t.Fatal(err)
 	}
-	if ent.snap != nil {
-		t.Error("legacy entry cannot carry a snapshot")
+
+	before := counting.calls.Load()
+	got, err := spec.Execute(context.Background(), ExecConfig{Cache: store})
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := ent.perRunMetrics()
-	for pi := range perRun {
-		for rep := range perRun[pi] {
-			if !sameMetricsBits(got[pi][rep], perRun[pi][rep]) {
-				t.Fatalf("point %d rep %d: legacy decode mismatch", pi, rep)
-			}
-		}
+	if counting.calls.Load() == before {
+		t.Fatal("legacy JSON entry was served instead of running live")
 	}
-	if _, ok := decodeCacheEntry(data, "other", 2, 3); ok {
-		t.Error("legacy entry decoded under a different hash")
+	if !bytes.Equal(aggregateBits(got), aggregateBits(want)) {
+		t.Error("aggregates after a legacy entry differ from an uncached run")
 	}
-	if _, ok := decodeCacheEntry(data, "legacy", 2, 2); ok {
-		t.Error("legacy entry decoded with wrong shape")
+	data, ok, err := store.Get(context.Background(), hash)
+	if err != nil || !ok {
+		t.Fatalf("no cache entry after live run (ok=%v err=%v)", ok, err)
+	}
+	if !bytes.HasPrefix(data, cacheMagic[:]) {
+		t.Fatalf("legacy entry not overwritten: entry starts %q", data[:min(len(data), 8)])
+	}
+	if _, ok := decodeCacheEntry(data, hash, len(perRun), spec.Replications); !ok {
+		t.Fatal("overwritten entry does not decode as version 2")
 	}
 }
 

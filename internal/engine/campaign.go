@@ -46,18 +46,6 @@ type Campaign struct {
 	// KeepRuns retains per-run metrics and full results in the
 	// aggregates (needed for the paper's Figure 9 per-run analysis).
 	KeepRuns bool
-
-	// disableRunners forces the generic Backend.Run path even when the
-	// backend implements RunnerBackend. Test hook: the golden
-	// determinism tests prove the amortized runner path bit-identical to
-	// this one.
-	disableRunners bool
-
-	// disablePartials forces per-run event delivery even when every sink
-	// supports chunk-granular partials. Test hook: the golden fast-path
-	// tests prove the aggregate bypass bit-identical to the ordered sink
-	// path.
-	disablePartials bool
 }
 
 // RunMetrics are the per-run scalars the campaigns of the paper report.

@@ -35,22 +35,6 @@ type ExecConfig struct {
 	Sinks []Sink
 }
 
-// cachedCampaign is the legacy (version 1) persistent result format: the
-// spec hash the entry was produced under plus every run's metrics in
-// (point, replication) order. That is sufficient to reconstruct
-// aggregates bit-identically and to replay the event stream; full
-// RunResults (per-worker slices) are deliberately not persisted. New
-// entries are written in the version-2 binary format (cachecodec.go),
-// which additionally carries a pre-aggregated snapshot; version-1 JSON
-// entries remain readable.
-type cachedCampaign struct {
-	Version      int            `json:"version"`
-	Hash         string         `json:"hash"`
-	Points       int            `json:"points"`
-	Replications int            `json:"replications"`
-	PerRun       [][]RunMetrics `json:"per_run"` // [point][rep]
-}
-
 // Execute runs the campaign described by the spec, streaming per-run
 // events to cfg.Sinks and returning the per-point aggregates. With a
 // cache configured, a repeated spec (same hash) is served entirely from
@@ -64,27 +48,19 @@ func (s CampaignSpec) Execute(ctx context.Context, cfg ExecConfig) (*CampaignRes
 	}
 	// Returns before Stream or replay run must still close cfg.Sinks —
 	// the Sink contract is one Close call on every path.
-	closeSinks := func(first error) error {
-		for _, sk := range cfg.Sinks {
-			if err := sk.Close(); err != nil && first == nil {
-				first = fmt.Errorf("engine: sink close: %w", err)
-			}
-		}
-		return first
-	}
 	points, err := s.Points()
 	if err != nil {
-		return nil, closeSinks(err)
+		return nil, closeSinks(cfg.Sinks, err)
 	}
 
 	var key string
 	if cfg.Cache != nil {
 		key, err = s.Hash()
 		if err != nil {
-			return nil, closeSinks(err)
+			return nil, closeSinks(cfg.Sinks, err)
 		}
 		if data, ok, err := cfg.Cache.Get(ctx, key); err != nil {
-			return nil, closeSinks(err)
+			return nil, closeSinks(cfg.Sinks, err)
 		} else if ok {
 			if ent, ok := decodeCacheEntry(data, key, len(points), s.Replications); ok {
 				// Aggregate-only request against an entry carrying a
@@ -133,39 +109,24 @@ func (s CampaignSpec) Execute(ctx context.Context, cfg ExecConfig) (*CampaignRes
 
 // replay reconstructs the campaign result from a validated cache entry,
 // feeding the stored per-run metrics through the sinks and the
-// aggregation in the same (point, replication) order a live execution
-// would — zero backend runs. A sink error or context cancellation
-// aborts the replay and is returned, mirroring Stream.
+// aggregation via the eventFeed Stream's reorder stage uses, so the
+// events are built exactly as a live execution builds them — zero
+// backend runs. A sink error or context cancellation aborts the replay
+// and is returned, mirroring Stream.
 func (s CampaignSpec) replay(ctx context.Context, points []RunSpec, perRun [][]RunMetrics, cfg ExecConfig) (*CampaignResult, error) {
-	seedFor := s.seedFunc(points)
 	agg := newAggregateSink(points, s.Replications, cfg.KeepPerRun, false)
 	sinks := append([]Sink{agg}, cfg.Sinks...)
-	var sinkErr error
-feed:
-	for pi := range points {
-		for rep := 0; rep < s.Replications; rep++ {
-			if err := ctx.Err(); err != nil {
-				sinkErr = fmt.Errorf("engine: campaign: %w", err)
-				break feed
-			}
-			spec := points[pi]
-			spec.RNGState = seedFor(pi, rep)
-			ev := Event{Point: pi, Rep: rep, Spec: spec, Metrics: perRun[pi][rep]}
-			for _, sk := range sinks {
-				if err := sk.Consume(ctx, ev); err != nil {
-					sinkErr = fmt.Errorf("engine: sink: %w", err)
-					break feed
-				}
-			}
-		}
+	feed := eventFeed{points: points, seedFor: s.seedFunc(points), sinks: sinks}
+	halted := func() bool { return ctx.Err() != nil }
+	var err error
+	for pi := 0; pi < len(points) && err == nil; pi++ {
+		err = feed.deliver(ctx, halted, pi, 0, perRun[pi], nil)
 	}
-	for _, sk := range sinks {
-		if err := sk.Close(); err != nil && sinkErr == nil {
-			sinkErr = fmt.Errorf("engine: sink close: %w", err)
-		}
+	if err == nil && ctx.Err() != nil {
+		err = fmt.Errorf("engine: campaign: %w", ctx.Err())
 	}
-	if sinkErr != nil {
-		return nil, sinkErr
+	if err := closeSinks(sinks, err); err != nil {
+		return nil, err
 	}
 	return &CampaignResult{Aggregates: agg.Aggregates(), Overall: agg.Overall()}, nil
 }

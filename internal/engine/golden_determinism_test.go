@@ -169,20 +169,6 @@ func TestGoldenDeterminismRunnerVsNaive(t *testing.T) {
 				checkGolden(t, key, fmt.Sprintf("%s/workers=%d", be, workers), stream, res)
 			}
 		}
-		// The per-replication path of the parent pipeline.
-		spec.Backend = backend
-		c, err := spec.Compile(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.disableRunners = true
-		c.KeepRuns = true
-		var buf bytes.Buffer
-		res, err := c.RunWith(context.Background(), NewJSONLSink(&buf))
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkGolden(t, key, "naive", buf.Bytes(), res)
 	})
 }
 

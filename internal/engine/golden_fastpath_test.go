@@ -76,16 +76,5 @@ func TestGoldenFastPathVsOrdered(t *testing.T) {
 				checkGolden(t, key, label+" execute", nil, res)
 			}
 		}
-		// The ordered event path of the parent pipeline.
-		c, err := spec.Compile(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.disablePartials = true
-		res, err := c.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkGolden(t, key, "ordered", nil, res)
 	})
 }

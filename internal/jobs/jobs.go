@@ -220,10 +220,7 @@ func (j *Job) Snapshot() Snapshot {
 }
 
 // progressSink feeds the job's completion counter from the campaign's
-// ordered event stream — O(1) state, no buffering. It also accepts
-// chunk-granular partials, so attaching it never disqualifies a job
-// from the engine's aggregate fast path (one counter bump per chunk
-// instead of per run).
+// ordered event stream — O(1) state, no buffering.
 type progressSink struct {
 	j    *Job
 	runs *atomic.Int64 // manager-wide delivered-run counter (metrics)
@@ -232,12 +229,6 @@ type progressSink struct {
 func (s progressSink) Consume(context.Context, engine.Event) error {
 	s.j.completed.Add(1)
 	s.runs.Add(1)
-	return nil
-}
-
-func (s progressSink) ConsumePartial(_ context.Context, p engine.MetricsPartial) error {
-	s.j.completed.Add(int64(p.Len()))
-	s.runs.Add(int64(p.Len()))
 	return nil
 }
 

@@ -237,72 +237,17 @@ func RunInto(cfg Config, a *Arena) (*Result, error) {
 		q.push(workerEvent{t: start, w: w})
 	}
 
-	if fastLoopEligible(cfg) {
-		runLoopFast(cfg, res, q)
-		return res, nil
-	}
-	if err := runLoopGeneric(cfg, res, q); err != nil {
+	if err := runLoop(cfg, res, q); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// fastLoopEligible reports whether the configuration exercises none of
-// the optional dynamics, so the specialized inner loop applies. Uneven
-// StartTimes are fine: they only shape the initial events, not the loop.
-func fastLoopEligible(cfg Config) bool {
-	return cfg.Speeds == nil && cfg.Perturb == nil && cfg.Observe == nil &&
-		!cfg.HInDynamics && cfg.PerMessageCost == 0
-}
-
-// runLoopFast is the inner loop specialized for the paper-faithful
-// configuration (no per-PE speeds, no perturbation, no observer, h
-// outside the dynamics, free communication). With every optional feature
-// known absent, the per-operation work collapses to: pop, ask the
-// scheduler, charge the chunk, push — no speed division (division by the
-// implicit 1.0 is a bit-exact identity, so skipping it cannot change
-// output), no master serialization, no comm-cost accounting and none of
-// the five per-op branches the generic loop re-tests millions of times
-// per campaign. The golden tests prove it bit-identical to the generic
-// loop on the shared configuration subspace.
-func runLoopFast(cfg Config, res *Result, q *eventQueue) {
-	var nextTask int64 // global index of the next unassigned task
-
-	for len(*q) > 0 {
-		ev := q.pop()
-		t := ev.t
-
-		chunk := cfg.Sched.Next(ev.w, t)
-		if chunk == 0 {
-			// Finalization: the worker leaves the computation.
-			if t > res.Finish[ev.w] {
-				res.Finish[ev.w] = t
-			}
-			continue
-		}
-
-		exec := cfg.Work.ChunkTime(nextTask, chunk, cfg.RNG)
-		nextTask += chunk
-
-		done := t + exec
-		res.Compute[ev.w] += exec
-		res.Finish[ev.w] = done
-		res.OpsPerWorker[ev.w]++
-		res.TasksPerWorker[ev.w] += chunk
-		res.SchedOps++
-		cfg.Sched.Report(ev.w, chunk, exec, done)
-		if done > res.Makespan {
-			res.Makespan = done
-		}
-		q.push(workerEvent{t: done, w: ev.w})
-	}
-}
-
-// runLoopGeneric is the fully featured inner loop, handling every
-// optional dynamic. The only error it can produce is a non-positive
-// effective speed (a Perturb contract violation); the arena's result is
-// partially filled in that case and must be discarded.
-func runLoopGeneric(cfg Config, res *Result, q *eventQueue) error {
+// runLoop is the simulator's inner loop, handling every optional
+// dynamic. The only error it can produce is a non-positive effective
+// speed (a Perturb contract violation); the arena's result is partially
+// filled in that case and must be discarded.
+func runLoop(cfg Config, res *Result, q *eventQueue) error {
 	var nextTask int64 // global index of the next unassigned task
 	var masterFree float64
 
