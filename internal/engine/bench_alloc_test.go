@@ -86,21 +86,14 @@ func BenchmarkAggregateSinkAlloc(b *testing.B) {
 	}
 }
 
-// TestCampaignAllocationBudget is the campaign-level allocation gate
-// over the one execution path, on a 5000-run grid so fixed campaign
-// setup amortizes away. Run sequentially, with the collector off so a
-// GC emptying the chunk-buffer pools cannot add refills to the counts.
-//
-//   - Aggregate-only, the campaign must stay at or below 0.05
-//     allocations per run: effectively zero steady-state allocation.
-//     Its bytes per run (about 75) are mostly the aggregation's own
-//     32-byte record per run.
-//   - With a JSONL sink attached, it must stay at or below 1.0116
-//     allocations per run (the encoder boxes one row per run), the count
-//     the pipeline measured when it still built a []Event batch per
-//     chunk. Bytes per run guard those batches: they cost about 250 of
-//     the 405 bytes per run the old ordered path allocated here.
-func TestCampaignAllocationBudget(t *testing.T) {
+// checkAllocationBudget is the campaign-level allocation gate over the
+// one execution path, on a 5000-run grid so fixed campaign setup
+// amortizes away: a campaign delivering to sinks must stay at or below
+// allocs allocations and byteCap bytes per run. It measures
+// sequentially, with the collector off so a GC emptying the
+// chunk-buffer pools cannot add refills to the counts.
+func checkAllocationBudget(t *testing.T, sinks []Sink, allocs, byteCap float64) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("allocation counting is slow under -short")
 	}
@@ -110,35 +103,45 @@ func TestCampaignAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type budget struct {
-		name            string
-		sinks           []Sink
-		allocs, byteCap float64 // per-run ceilings
+	run := func() {
+		if _, err := c.RunWith(context.Background(), sinks...); err != nil {
+			t.Fatal(err)
+		}
 	}
-	cases := []budget{{"aggregate-only", nil, 0.05, 100}}
-	if !raceEnabled {
+	gotAllocs := testing.AllocsPerRun(2, run) / runs
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	gotBytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("%.4f allocs and %.1f bytes per run", gotAllocs, gotBytes)
+	if gotAllocs > allocs {
+		t.Errorf("%.4f allocs per run, budget is %.4f", gotAllocs, allocs)
+	}
+	if gotBytes > byteCap {
+		t.Errorf("%.1f bytes per run, budget is %.0f", gotBytes, byteCap)
+	}
+}
+
+// TestAggregateFastPathAllocationBudget: aggregate-only, the campaign
+// must stay at or below 0.05 allocations per run, effectively zero
+// steady-state allocation. Its bytes per run (about 75) are mostly the
+// aggregation's own 32-byte record per run.
+func TestAggregateFastPathAllocationBudget(t *testing.T) {
+	checkAllocationBudget(t, nil, 0.05, 100)
+}
+
+// TestCampaignAllocationBudget: with a JSONL sink attached, the campaign
+// must stay at or below 1.0116 allocations per run (the encoder boxes
+// one row per run), the count the pipeline measured when it still built
+// a []Event batch per chunk. Bytes per run guard those batches: they
+// cost about 250 of the 405 bytes per run the old ordered path
+// allocated here.
+func TestCampaignAllocationBudget(t *testing.T) {
+	if raceEnabled {
 		// The race detector makes sync.Pool drop items at random, so the
 		// JSON encoder's pooled state is reallocated per run there.
-		cases = append(cases, budget{"jsonl", []Sink{NewJSONLSink(io.Discard)}, 1.0116, 200})
+		t.Skip("allocation counts of pooled encoder state are unstable under -race")
 	}
-	for _, tc := range cases {
-		run := func() {
-			if _, err := c.RunWith(context.Background(), tc.sinks...); err != nil {
-				t.Fatal(err)
-			}
-		}
-		allocs := testing.AllocsPerRun(2, run) / runs
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		run()
-		runtime.ReadMemStats(&after)
-		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
-		t.Logf("%s: %.4f allocs and %.1f bytes per run", tc.name, allocs, bytes)
-		if allocs > tc.allocs {
-			t.Errorf("%s: %.4f allocs per run, budget is %.4f", tc.name, allocs, tc.allocs)
-		}
-		if bytes > tc.byteCap {
-			t.Errorf("%s: %.1f bytes per run, budget is %.0f", tc.name, bytes, tc.byteCap)
-		}
-	}
+	checkAllocationBudget(t, []Sink{NewJSONLSink(io.Discard)}, 1.0116, 200)
 }
