@@ -252,8 +252,16 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 		if err == nil {
 			return resp, nil
 		}
+		if ctx.Err() != nil {
+			// The caller gave up during this attempt, whose error is only
+			// the cancellation: report an earlier real failure if any.
+			if last == nil {
+				last = err
+			}
+			break
+		}
 		last = err
-		if ctx.Err() != nil || !retryable(err) {
+		if !retryable(err) {
 			break
 		}
 	}

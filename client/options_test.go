@@ -153,6 +153,46 @@ func TestRetryStopsOnCancel(t *testing.T) {
 	}
 }
 
+// TestRetryCancelDuringAttemptKeepsLastFailure: when the caller's
+// context ends while a retry attempt is in flight (not during the
+// backoff sleep), the error is still the last real failure, not the
+// attempt's "context canceled". The handler cancels on the third
+// request and holds it open, so the outcome does not depend on timing.
+func TestRetryCancelDuringAttemptKeepsLastFailure(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var seen atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if seen.Add(1) <= 2 {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusInternalServerError)
+			json.NewEncoder(w).Encode(campaign.ErrorEnvelope{Error: campaign.ErrorBody{Code: campaign.CodeInternal, Message: "injected"}})
+			return
+		}
+		cancel()
+		select {
+		case <-r.Context().Done():
+		case <-time.After(5 * time.Second):
+		}
+	}))
+	defer srv.Close()
+
+	c, err := New(srv.URL, WithOptions(Options{
+		Retry: RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond},
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = c.Live(ctx)
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusInternalServerError {
+		t.Fatalf("Live = %v, want the last HTTP 500", err)
+	}
+	if got := seen.Load(); got != 3 {
+		t.Fatalf("server saw %d requests, want 3", got)
+	}
+}
+
 // TestUnaryTimeoutSparesWait: Options.Timeout bounds unary calls but
 // must not clamp the long-poll Wait, whose whole point is blocking for
 // the duration of a campaign.

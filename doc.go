@@ -82,27 +82,25 @@
 // "sim" backend's event queue is a specialized non-boxing min-heap
 // (container/heap would box one event per scheduling operation), and
 // campaign execution runs through per-worker run arenas: the optional
-// engine.RunnerBackend extension builds one engine.Runner per campaign
-// point, which validates the spec once, resets the scheduler in place
-// (sched.Resetter — all 15 techniques implement it) and reuses the
-// result buffers and rand48 state via sim.RunInto. The results
-// pipeline distributes work as replication chunks — (point,
-// replication-range) batches auto-sized from the grid and the worker
-// count, tunable via engine.ExecConfig.ChunkSize and dlsimd -chunk —
-// and each worker's runner survives point switches through the
-// engine.Rebinder extension, so one execution context (arena, pooled
-// buffers, rand48 slot) serves a worker's whole share of the grid.
-// Completed chunks reorder through a fixed-size ring, one channel send
-// and at most one broadcast per chunk. None of this changes a single
-// output bit: golden tests prove the optimized path byte-identical
-// (JSONL streams and aggregates) to a naive
-// one-Backend.Run-per-replication execution across backends, seed
-// policies, worker counts and chunk sizes, and CI pins sim.Run at 0
-// steady-state allocs/op and gates multi-core scaling (>= 1.5x at 4
-// workers). cmd/benchtraj records absolute throughput, allocs/run and
-// the worker-scaling curve (BENCH_PR6.json) and takes
-// -cpuprofile/-memprofile for pprof analysis; dlsimd -pprof exposes
-// live /debug/pprof/ handlers.
+// engine.RunnerBackend extension builds one engine.Runner per
+// campaign point, which validates the spec once, resets the scheduler
+// in place (sched.Scheduler.Reset) and reuses the result buffers and
+// rand48 state via sim.RunInto. The results pipeline distributes work
+// as replication chunks — (point, replication-range) batches
+// auto-sized from the grid and the worker count, tunable via
+// engine.ExecConfig.ChunkSize and dlsimd -chunk — and each worker's
+// runner survives point switches through the engine.Rebinder
+// extension, so one execution context (arena, pooled buffers, rand48
+// slot) serves a worker's whole share of the grid. Completed chunks
+// reorder through a fixed-size ring, one channel send and at most one
+// broadcast per chunk. None of this changes a single output bit:
+// golden tests pin the JSONL streams and aggregates to committed
+// sha256 digests across backends, seed policies, worker counts and
+// chunk sizes, and CI pins sim.Run at 0 steady-state allocs/op and
+// gates multi-core scaling (>= 1.5x at 4 workers). cmd/benchtraj
+// records absolute throughput, allocs/run and the worker-scaling
+// curve (BENCH_PR6.json) and takes -cpuprofile/-memprofile for pprof
+// analysis; dlsimd -pprof exposes live /debug/pprof/ handlers.
 //
 // The benchmark harness regenerating every figure of the paper lives in
 // bench_test.go and cmd/repro; see DESIGN.md and EXPERIMENTS.md.

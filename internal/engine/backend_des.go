@@ -42,7 +42,6 @@ func (desBackend) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
 // cross-validation, not throughput).
 type desRunner struct {
 	s     sched.Scheduler
-	reset sched.Resetter
 	names []string
 	rng   rng.Rand48
 	out   RunResult
@@ -69,7 +68,6 @@ func (r *desRunner) Rebind(spec RunSpec) error {
 		return err
 	}
 	r.s = s
-	r.reset, _ = s.(sched.Resetter)
 	if cap(r.names) < spec.P {
 		// Fill the whole backing array so later re-slicing to a larger P
 		// within capacity always exposes initialized names.
@@ -94,14 +92,7 @@ func (r *desRunner) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
 		return nil, err
 	}
 	s := r.s
-	if r.reset != nil {
-		r.reset.Reset()
-	} else {
-		var err error
-		if s, err = spec.Scheduler(); err != nil {
-			return nil, err
-		}
-	}
+	s.Reset()
 	r.rng.SetState(spec.RNGState)
 	res := &r.out
 	res.Makespan = 0

@@ -7,7 +7,6 @@ import (
 	"repro/internal/msg"
 	"repro/internal/platform"
 	"repro/internal/rng"
-	"repro/internal/sched"
 )
 
 // msgBackend adapts the full SimGrid-MSG-style model (internal/msg): a
@@ -57,8 +56,6 @@ func (msgBackend) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
 type msgRunner struct {
 	app msg.AppConfig
 	pl  *platform.Platform
-	s   sched.Scheduler
-	res sched.Resetter
 	rng rng.Rand48
 	out RunResult
 }
@@ -112,8 +109,7 @@ func (r *msgRunner) Rebind(spec RunSpec) error {
 	if spec.HInDynamics {
 		masterOverhead = spec.H
 	}
-	r.pl, r.s = pl, s
-	r.res, _ = s.(sched.Resetter)
+	r.pl = pl
 	r.app = msg.AppConfig{
 		MasterHost:     "pe-0",
 		WorkerHosts:    workers,
@@ -130,15 +126,7 @@ func (r *msgRunner) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if r.res != nil {
-		r.res.Reset()
-	} else {
-		s, err := spec.Scheduler()
-		if err != nil {
-			return nil, err
-		}
-		r.app.Sched = s
-	}
+	r.app.Sched.Reset()
 	r.rng.SetState(spec.RNGState)
 	res, err := msg.RunApp(msg.NewEngine(r.pl), r.app)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/rng"
-	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -42,7 +41,6 @@ func (simBackend) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
 // serve a whole worker's share of the grid.
 type simRunner struct {
 	cfg   sim.Config
-	reset sched.Resetter // nil: scheduler must be rebuilt per run
 	rng   rng.Rand48
 	arena sim.Arena
 	out   RunResult
@@ -68,7 +66,6 @@ func (r *simRunner) Rebind(spec RunSpec) error {
 	if err != nil {
 		return err
 	}
-	r.reset, _ = s.(sched.Resetter)
 	r.cfg = sim.Config{
 		P:              spec.P,
 		Sched:          s,
@@ -88,15 +85,7 @@ func (r *simRunner) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if r.reset != nil {
-		r.reset.Reset()
-	} else {
-		s, err := spec.Scheduler()
-		if err != nil {
-			return nil, err
-		}
-		r.cfg.Sched = s
-	}
+	r.cfg.Sched.Reset()
 	r.rng.SetState(spec.RNGState)
 	res, err := sim.RunInto(r.cfg, &r.arena)
 	if err != nil {

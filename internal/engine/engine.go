@@ -134,7 +134,7 @@ type Backend interface {
 
 // Runner executes many runs of one campaign point with per-run setup
 // amortized away: the spec is validated once, the scheduler is Reset
-// instead of rebuilt (sched.Resetter), and result buffers are pooled, so
+// before every run instead of rebuilt, and result buffers are pooled, so
 // the steady-state hot path allocates nothing. A Runner is built for one
 // point and must only be handed specs that differ from the construction
 // spec in RNGState. It is NOT safe for concurrent use — the campaign

@@ -60,6 +60,8 @@ func FuzzReplay(f *testing.F) {
 	}
 	f.Add(seedFile.Bytes())
 	f.Add(seedFile.Bytes()[:seedFile.Len()-3])
+	seedFile.Write(legacyLine(f, Record{Kind: KindSchedule, Time: time.Now().UTC(), ID: "s1", Spec: &spec}, time.Minute, time.Second))
+	f.Add(seedFile.Bytes())
 	f.Add([]byte("garbage\nmore garbage\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, good := decodeAll(data)

@@ -2,6 +2,9 @@ package journal
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"testing"
@@ -28,6 +31,33 @@ func jobRecord(id string, seed uint64, at time.Time) Record {
 	spec := testSpec(seed)
 	hash, _ := spec.Hash()
 	return Record{Kind: KindJob, Time: at, ID: id, Tenant: "t1", Hash: hash, Spec: &spec}
+}
+
+// legacyLine frames a retired schedule record the way journals written
+// before schedules were retired did: the Record payload plus the
+// interval and jitter fields Record no longer has.
+func legacyLine(tb testing.TB, rec Record, interval, jitter time.Duration) []byte {
+	tb.Helper()
+	payload, err := json.Marshal(struct {
+		Record
+		Interval time.Duration `json:"interval,omitempty"`
+		Jitter   time.Duration `json:"jitter,omitempty"`
+	}{rec, interval, jitter})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(payload)
+	return append(fmt.Appendf(nil, "%016x %s", h.Sum64(), payload), '\n')
+}
+
+// foldedStates renders Fold's views as "id:state" for comparison.
+func foldedStates(recs []Record) []string {
+	var out []string
+	for _, v := range Fold(recs) {
+		out = append(out, v.ID+":"+v.State)
+	}
+	return out
 }
 
 func mustAppend(t *testing.T, j *Journal, recs ...Record) {
@@ -79,7 +109,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 			t.Errorf("record %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	jobs, _ := Fold(got)
+	jobs := Fold(got)
 	if len(jobs) != 2 {
 		t.Fatalf("folded %d jobs, want 2", len(jobs))
 	}
@@ -186,8 +216,9 @@ func TestCorruptionStopsReplay(t *testing.T) {
 }
 
 // TestCompactKeepsLiveAndRecentTerminal pins the compaction policy:
-// live jobs and schedules always survive, terminal jobs beyond the
-// keep window are dropped, and the compacted file folds identically.
+// live jobs always survive, terminal jobs beyond the keep window and
+// retired schedule records are dropped, and the compacted file folds
+// identically.
 func TestCompactKeepsLiveAndRecentTerminal(t *testing.T) {
 	dir := t.TempDir()
 	j, _, err := Open(dir)
@@ -196,7 +227,7 @@ func TestCompactKeepsLiveAndRecentTerminal(t *testing.T) {
 	}
 	t0 := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
 	// Five terminal jobs finishing in order, one live (running) job,
-	// one schedule plus one deleted schedule.
+	// and retired schedule records from before schedules were removed.
 	for i := 0; i < 5; i++ {
 		id := string(rune('a' + i))
 		mustAppend(t, j,
@@ -210,8 +241,8 @@ func TestCompactKeepsLiveAndRecentTerminal(t *testing.T) {
 	)
 	spec := testSpec(7)
 	mustAppend(t, j,
-		Record{Kind: KindSchedule, Time: t0, ID: "s1", Tenant: "t1", Spec: &spec, Interval: time.Minute},
-		Record{Kind: KindSchedule, Time: t0, ID: "s2", Tenant: "t1", Spec: &spec, Interval: time.Minute},
+		Record{Kind: KindSchedule, Time: t0, ID: "s1", Tenant: "t1", Spec: &spec},
+		Record{Kind: KindSchedule, Time: t0, ID: "s2", Tenant: "t1", Spec: &spec},
 		Record{Kind: KindScheduleDelete, Time: t0, ID: "s2"},
 	)
 
@@ -224,7 +255,12 @@ func TestCompactKeepsLiveAndRecentTerminal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs, scheds := Fold(recs)
+	for _, r := range recs {
+		if r.Kind == KindSchedule || r.Kind == KindScheduleDelete {
+			t.Fatalf("compaction kept retired record %+v", r)
+		}
+	}
+	jobs := Fold(recs)
 	var ids []string
 	for _, v := range jobs {
 		ids = append(ids, v.ID+":"+v.State)
@@ -238,9 +274,6 @@ func TestCompactKeepsLiveAndRecentTerminal(t *testing.T) {
 			t.Fatalf("compacted jobs = %v, want %v", ids, want)
 		}
 	}
-	if len(scheds) != 1 || scheds[0].ID != "s1" || scheds[0].Interval != time.Minute {
-		t.Fatalf("compacted schedules = %+v, want live s1 only", scheds)
-	}
 	// Spec survives compaction intact (hash-identical).
 	wantHash, _ := testSpec(99).Hash()
 	if jobs[2].Hash != wantHash {
@@ -252,19 +285,72 @@ func TestCompactKeepsLiveAndRecentTerminal(t *testing.T) {
 	}
 }
 
-// TestScheduleFold pins schedule registration/deletion folding.
+// TestScheduleFold pins the upgrade path for journals that still hold
+// retired schedule records interleaved with job records: Open replays
+// every line without truncating the file at the first schedule line,
+// Fold sees every job and ignores the schedules, and Compact drops the
+// retired lines for good.
 func TestScheduleFold(t *testing.T) {
-	spec := testSpec(1)
-	t0 := time.Now().UTC()
-	recs := []Record{
-		{Kind: KindSchedule, Time: t0, ID: "s1", Tenant: "a", Spec: &spec, Interval: 5 * time.Second, Jitter: time.Second},
-		{Kind: KindSchedule, Time: t0, ID: "s2", Tenant: "b", Spec: &spec, Interval: time.Minute},
-		{Kind: KindScheduleDelete, Time: t0, ID: "s1"},
-		{Kind: KindScheduleDelete, Time: t0, ID: "unknown"},
+	dir := t.TempDir()
+	t0 := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
+	spec := testSpec(7)
+	hash, _ := spec.Hash()
+	encode := func(rec Record) []byte {
+		line, err := encodeLine(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return line
 	}
-	_, scheds := Fold(recs)
-	if len(scheds) != 1 || scheds[0].ID != "s2" || scheds[0].Tenant != "b" {
-		t.Fatalf("folded schedules = %+v, want s2 only", scheds)
+	lines := [][]byte{
+		encode(jobRecord("j1", 1, t0)),
+		legacyLine(t, Record{Kind: KindSchedule, Time: t0, ID: "s1", Tenant: "a", Hash: hash, Spec: &spec}, 5*time.Second, time.Second),
+		encode(Record{Kind: KindState, Time: t0.Add(time.Second), ID: "j1", State: "running"}),
+		encode(jobRecord("j2", 2, t0.Add(2*time.Second))),
+		legacyLine(t, Record{Kind: KindSchedule, Time: t0, ID: "s2", Tenant: "b", Hash: hash, Spec: &spec}, time.Minute, 0),
+		encode(Record{Kind: KindState, Time: t0.Add(3 * time.Second), ID: "j1", State: "done"}),
+		legacyLine(t, Record{Kind: KindScheduleDelete, Time: t0, ID: "s1"}, 0, 0),
+		encode(jobRecord("j3", 3, t0.Add(4*time.Second))),
+		encode(Record{Kind: KindState, Time: t0.Add(5 * time.Second), ID: "j2", State: "failed", Error: "boom"}),
+	}
+	path := filepath.Join(dir, FileName)
+	file := bytes.Join(lines, nil)
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	j, recs, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if len(recs) != len(lines) {
+		t.Fatalf("replayed %d records, want all %d lines", len(recs), len(lines))
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != int64(len(file)) {
+		t.Fatalf("Open truncated the journal: %v bytes (%v), want %d", fi.Size(), err, len(file))
+	}
+	want := []string{"j1:done", "j2:failed", "j3:queued"}
+	if got := foldedStates(recs); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("folded jobs = %v, want %v", got, want)
+	}
+
+	if err := j.Compact(10); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte(`"schedule`)) {
+		t.Fatalf("compacted journal still holds retired records:\n%s", data)
+	}
+	compacted, good := decodeAll(data)
+	if good != len(data) {
+		t.Fatalf("compacted journal decodes to offset %d of %d", good, len(data))
+	}
+	if got := foldedStates(compacted); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("compacted jobs = %v, want %v", got, want)
 	}
 }
 
@@ -323,7 +409,7 @@ func TestAutoCompact(t *testing.T) {
 		t.Fatalf("journal grew to %d records; auto-compaction never ran", n)
 	}
 	// The kept window folds to the most recent terminal jobs only.
-	jobs, _ := Fold(j.Records())
+	jobs := Fold(j.Records())
 	if len(jobs) > autoCompactAt {
 		t.Fatalf("folded %d jobs after auto-compaction", len(jobs))
 	}

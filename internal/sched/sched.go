@@ -66,18 +66,12 @@ type Scheduler interface {
 	Remaining() int64
 	// Chunks returns the number of scheduling operations performed so far.
 	Chunks() int64
-}
-
-// Resetter is the optional reuse extension of Scheduler: Reset restores
-// the scheduler to the state it had immediately after construction, so
-// one value can serve many runs of the same parameters without
-// reallocating. Every technique in this package implements it — the
-// engine's campaign runners rely on Reset to keep the per-run hot path
-// allocation-free (falling back to reconstruction for schedulers that do
-// not). A Reset scheduler must produce exactly the chunk sequence a
-// freshly constructed one would, given the same Next/Report calls
-// (verified per technique by reset_test.go).
-type Resetter interface {
+	// Reset restores the state the scheduler had immediately after
+	// construction, so one value serves many runs of the same parameters
+	// without reallocating; the engine's runners call it before every
+	// run. A Reset scheduler produces exactly the chunk sequence a freshly
+	// constructed one would, given the same Next/Report calls (verified
+	// per technique by reset_test.go).
 	Reset()
 }
 

@@ -9,15 +9,16 @@ import (
 )
 
 // arenaConfig builds a hot-path run configuration: exponential workload
-// (the Hagerup campaign's), a resettable scheduler and a reusable RNG.
-func arenaConfig(t testing.TB, technique string, n int64, p int) (Config, sched.Resetter, *rng.Rand48) {
+// (the Hagerup campaign's), a scheduler reused via Reset and a reusable
+// RNG.
+func arenaConfig(t testing.TB, technique string, n int64, p int) (Config, *rng.Rand48) {
 	t.Helper()
 	s, err := sched.New(technique, sched.Params{N: n, P: p, H: 0.5, Mu: 1, Sigma: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := rng.FromState(0x2A5F3C)
-	return Config{P: p, Sched: s, Work: workload.NewExponential(1), RNG: r, H: 0.5}, s.(sched.Resetter), r
+	return Config{P: p, Sched: s, Work: workload.NewExponential(1), RNG: r, H: 0.5}, r
 }
 
 // TestRunIntoAllocationFree pins the arena hot path at zero steady-state
@@ -29,10 +30,10 @@ func arenaConfig(t testing.TB, technique string, n int64, p int) (Config, sched.
 func TestRunIntoAllocationFree(t *testing.T) {
 	for _, technique := range []string{"SS", "GSS", "FAC", "FAC2", "BOLD"} {
 		t.Run(technique, func(t *testing.T) {
-			cfg, reset, r := arenaConfig(t, technique, 2048, 8)
+			cfg, r := arenaConfig(t, technique, 2048, 8)
 			arena := new(Arena)
 			run := func() {
-				reset.Reset()
+				cfg.Sched.Reset()
 				r.SetState(0x2A5F3C)
 				if _, err := RunInto(cfg, arena); err != nil {
 					t.Fatal(err)
@@ -52,19 +53,19 @@ func TestRunIntoAllocationFree(t *testing.T) {
 func TestRunIntoMatchesRun(t *testing.T) {
 	for _, technique := range []string{"SS", "GSS", "TSS", "FAC", "FAC2", "BOLD", "AWF-C", "AF"} {
 		t.Run(technique, func(t *testing.T) {
-			cfg1, _, _ := arenaConfig(t, technique, 1024, 6)
+			cfg1, _ := arenaConfig(t, technique, 1024, 6)
 			want, err := Run(cfg1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg2, reset, r := arenaConfig(t, technique, 1024, 6)
+			cfg2, r := arenaConfig(t, technique, 1024, 6)
 			arena := new(Arena)
 			// Dirty the arena with a different run first, then reset the
 			// scheduler and RNG and replay the reference configuration.
 			if _, err := RunInto(cfg2, arena); err != nil {
 				t.Fatal(err)
 			}
-			reset.Reset()
+			cfg2.Sched.Reset()
 			r.SetState(0x2A5F3C)
 			got, err := RunInto(cfg2, arena)
 			if err != nil {
@@ -109,12 +110,12 @@ func BenchmarkRun(b *testing.B) {
 func BenchmarkRunInto(b *testing.B) {
 	for _, technique := range []string{"SS", "GSS", "FAC", "BOLD"} {
 		b.Run(technique, func(b *testing.B) {
-			cfg, reset, r := arenaConfig(b, technique, 2048, 8)
+			cfg, r := arenaConfig(b, technique, 2048, 8)
 			arena := new(Arena)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				reset.Reset()
+				cfg.Sched.Reset()
 				r.SetState(0x2A5F3C)
 				if _, err := RunInto(cfg, arena); err != nil {
 					b.Fatal(err)
